@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -20,17 +20,8 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return Fraction(total)
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vector:
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> Vector:
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
-def vec_scale(u: Sequence, s) -> Vector:
-    s = Fraction(s)
-    return tuple(Fraction(a) * s for a in u)
 
 
 def primitive_vector(v: Sequence) -> tuple[int, ...]:
@@ -77,39 +68,12 @@ def mat_det(rows: Sequence[Sequence]) -> Fraction:
     return det
 
 
-def solve_square(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
-    """Solve M x = b exactly; None when M is singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
-
-
 def mat_mul_vec(rows: Sequence[Sequence], v: Sequence) -> Vector:
     return tuple(dot(row, v) for row in rows)
 
 
 def mat_transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*rows))
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
-    bt = mat_transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def mat_inverse(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,18 +2,18 @@
 
 Polytopes are stored by halfspaces {x : <x, u> >= lam} with primitive
 integer normals u and rational offsets lam.  Vertices are enumerated
-eagerly at construction by brute force over d-subsets of halfspaces, which
-is exact and entirely adequate at this scale (facet counts stay around a
-dozen).  Empty and lower-dimensional polytopes are legal values; unbounded
-input is rejected at construction.
+eagerly at construction by one exact double-description pass (Motzkin;
+Fukuda-Prodon 1996) over the homogenised cone of the system, in integer
+arithmetic; its cost follows the number of vertices, not the number of
+d-subsets of halfspaces.  Empty and lower-dimensional polytopes are legal
+values; unbounded input is rejected at construction.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotSimpleError, NotSmoothError, UnboundedPolytopeError
@@ -25,9 +25,9 @@ from .linalg import (
     mat_mul_vec,
     mat_transpose,
     primitive_vector,
-    solve_square,
     vec_sub,
 )
+from .lp import INFEASIBLE, solve_lp
 from .rationals import format_rational
 
 Point = tuple[Fraction, ...]
@@ -71,59 +71,103 @@ class HalfSpace:
         return {"normal": list(self.normal), "offset": format_rational(self.offset)}
 
 
-def _feasible(dim: int, constraints: list[tuple[tuple[Fraction, ...], Fraction]]) -> bool:
-    """Fourier-Motzkin feasibility for constraints sum(c_i x_i) >= rhs."""
-    cons = []
-    for coeffs, rhs in constraints:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if all(c == 0 for c in coeffs):
-            if rhs > 0:
-                return False
+def _primitive(v: list[int]) -> list[int]:
+    """An integer vector divided by the gcd of its entries."""
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _initial_cone(rows: list[tuple[int, ...]]) -> Optional[tuple[list[int], list[list[int]]]]:
+    """Independent rows B, taken greedily, and the extreme rays of {y : By >= 0}.
+
+    Returns None when the rows have rank below their length.  Integer
+    Gauss-Jordan on [B | I] leaves [c_i e_(p_i) | T_i] with T B = diag(c) P,
+    so ray j, column j of B^-1, has entry T_ij / c_i at coordinate p_i.
+    """
+    size = len(rows[0])
+    basis: list[int] = []
+    reduced: list[tuple[int, list[int]]] = []  # (pivot column, [row | tag])
+    for i, row in enumerate(rows):
+        v = list(row) + [int(j == len(basis)) for j in range(size)]
+        for p, r in reduced:
+            if v[p]:
+                f = v[p]
+                v = _primitive([r[p] * a - f * b for a, b in zip(v, r)])
+        pivot = next((c for c in range(size) if v[c]), None)
+        if pivot is None:
             continue
-        cons.append((coeffs, Fraction(rhs)))
-    for var in range(dim):
-        pos = [c for c in cons if c[0][var] > 0]
-        neg = [c for c in cons if c[0][var] < 0]
-        rest = [c for c in cons if c[0][var] == 0]
-        new: dict = {}
-        for (cp, bp) in pos:
-            for (cn, bn) in neg:
-                a, b = cp[var], -cn[var]
-                coeffs = tuple(b * x + a * y for x, y in zip(cp, cn))
-                rhs = b * bp + a * bn
-                if all(c == 0 for c in coeffs):
-                    if rhs > 0:
-                        return False
+        for k, (p, r) in enumerate(reduced):
+            if r[pivot]:
+                f = r[pivot]
+                reduced[k] = (p, _primitive([v[pivot] * a - f * b for a, b in zip(r, v)]))
+        reduced.append((pivot, v))
+        basis.append(i)
+        if len(basis) == size:
+            scale = lcm(*(r[p] for p, r in reduced))
+            rays = [[0] * size for _ in range(size)]
+            for p, r in reduced:
+                for j in range(size):
+                    rays[j][p] = r[size + j] * (scale // r[p])
+            return basis, [_primitive(ray) for ray in rays]
+    return None
+
+
+def _double_description(
+    dim: int, halfspaces: Sequence[HalfSpace]
+) -> Optional[tuple[list[list[int]], list[int]]]:
+    """Extreme rays of the homogenised cone and their zero-set bitmasks.
+
+    The cone is {(x0, x) : x0 >= 0, <u, x> - lam x0 >= 0}; row 0 is x0 >= 0
+    and row i + 1 is halfspace i, scaled by its offset's denominator so that
+    every row is integer.  Bit k of a ray's mask is set when the ray is
+    tight on row k.  Starting from a simplicial cone on independent rows,
+    each remaining row cuts the cone: rays on its negative side go, and
+    every adjacent (positive, negative) pair yields a new ray on the row's
+    hyperplane.  Adjacency is the combinatorial test: the common zero set
+    has at least dim - 1 rows and lies in no third ray's zero set.  Returns
+    None when the normals have rank below `dim`.
+    """
+    rows = [(1,) + (0,) * dim] + [
+        (-h.offset.numerator,) + tuple(h.offset.denominator * u for u in h.normal)
+        for h in halfspaces
+    ]
+    start = _initial_cone(rows)
+    if start is None:
+        return None
+    basis, rays = start
+    full = sum(1 << b for b in basis)
+    zeros = [full & ~(1 << b) for b in basis]
+    for k, a in enumerate(rows):
+        if k in basis:
+            continue
+        bit = 1 << k
+        plus, minus = [], []
+        kept_rays, kept_zeros = [], []
+        for idx, r in enumerate(rays):
+            s = sum(x * y for x, y in zip(a, r))
+            if s < 0:
+                minus.append((idx, s))
+                continue
+            if s > 0:
+                plus.append((idx, s))
+            kept_rays.append(r)
+            kept_zeros.append(zeros[idx] if s else zeros[idx] | bit)
+        for ip, sp in plus:
+            for im, sm in minus:
+                common = zeros[ip] & zeros[im]
+                if common.bit_count() < dim - 1 or any(
+                    z & common == common and i != ip and i != im
+                    for i, z in enumerate(zeros)
+                ):
                     continue
-                prim = primitive_vector(coeffs)
-                scale = None
-                for p, f in zip(prim, coeffs):
-                    if f != 0:
-                        scale = Fraction(p) / f
-                        break
-                key = (prim, rhs * scale)
-                new[key] = key
-        merged: dict = {}
-        for coeffs, rhs in rest + list(new.values()):
-            if coeffs in merged:
-                merged[coeffs] = max(merged[coeffs], rhs)
-            else:
-                merged[coeffs] = rhs
-        cons = [(c, b) for c, b in merged.items()]
-    return all(rhs <= 0 for coeffs, rhs in cons)
-
-
-def _recession_nonzero(dim: int, halfspaces: Sequence[HalfSpace]) -> bool:
-    """Whether {x : <x,u> >= 0 for all normals} contains a nonzero point."""
-    base = [(tuple(Fraction(c) for c in h.normal), Fraction(0)) for h in halfspaces]
-    for j in range(dim):
-        for sign in (1, -1):
-            probe = tuple(
-                Fraction(sign if k == j else 0) for k in range(dim)
-            )
-            if _feasible(dim, base + [(probe, Fraction(1))]):
-                return True
-    return False
+                kept_rays.append(
+                    _primitive([sp * y - sm * x for x, y in zip(rays[ip], rays[im])])
+                )
+                kept_zeros.append(common | bit)
+        rays, zeros = kept_rays, kept_zeros
+    return rays, zeros
 
 
 class HPolytope:
@@ -132,6 +176,13 @@ class HPolytope:
     Immutable after construction; vertices are stored sorted
     lexicographically and `tight_sets[i]` lists the vertex indices on which
     halfspace i is tight, so values are freely shareable across threads.
+
+    Vertices come from one double-description pass over the homogenised
+    cone (see `_double_description`): rays with x0 > 0 are the vertices,
+    and `tight_sets` is read off their zero sets.  A ray with x0 = 0 next
+    to a vertex is a recession direction, and no ray with x0 > 0 means the
+    system is empty.  Normals of rank below the dimension leave no vertex;
+    such a system is empty or contains a line, decided by an exact LP.
     """
 
     __slots__ = ("dim", "halfspaces", "vertices", "tight_sets")
@@ -145,38 +196,32 @@ class HPolytope:
                 raise ValueError("halfspace dimension mismatch")
         self.dim = dim
         self.halfspaces = hs
-        self.vertices = self._enumerate_vertices()
-        if not self.vertices:
-            constraints = [
-                (tuple(Fraction(c) for c in h.normal), h.offset) for h in hs
-            ]
-            if _feasible(dim, constraints):
+        cone = _double_description(dim, hs)
+        if cone is None:
+            # no vertex: empty, or nonempty and containing a line (x = x+ - x-)
+            lp = solve_lp(
+                [0] * (2 * dim),
+                [tuple(-u for u in h.normal) + h.normal for h in hs],
+                [-h.offset for h in hs],
+            )
+            if lp.status != INFEASIBLE:
                 raise UnboundedPolytopeError(
                     "nonempty halfspace system with no vertex (contains a line)"
                 )
-        elif _recession_nonzero(dim, hs):
+            cone = ([], [])
+        found = [
+            (tuple(Fraction(x, r[0]) for x in r[1:]), z)
+            for r, z in zip(*cone)
+            if r[0] > 0
+        ]
+        if found and len(found) < len(cone[0]):
             raise UnboundedPolytopeError("halfspace system has a recession direction")
+        found.sort(key=lambda pair: pair[0])
+        self.vertices = tuple(v for v, _ in found)
         self.tight_sets = tuple(
-            frozenset(
-                i for i, v in enumerate(self.vertices) if h.is_tight(v)
-            )
-            for h in hs
+            frozenset(vi for vi, (_, z) in enumerate(found) if z >> (i + 1) & 1)
+            for i in range(len(hs))
         )
-
-    def _enumerate_vertices(self) -> tuple[Point, ...]:
-        hs = self.halfspaces
-        if len(hs) < self.dim:
-            return ()
-        seen: dict[Point, None] = {}
-        for subset in itertools.combinations(range(len(hs)), self.dim):
-            rows = [hs[i].normal for i in subset]
-            rhs = [hs[i].offset for i in subset]
-            x = solve_square(rows, rhs)
-            if x is None:
-                continue
-            if all(h.contains(x) for h in hs):
-                seen[x] = None
-        return tuple(sorted(seen))
 
     # -- basic queries ---------------------------------------------------
 
@@ -267,32 +312,22 @@ class HPolytope:
         if self.affine_dim() < self.dim:
             return Fraction(0)
         total = Fraction(0)
-        for simplex in self._triangulate(self.vertices, self.dim):
-            base = simplex[0]
-            rows = [vec_sub(p, base) for p in simplex[1:]]
+        for simplex in self._triangulate(frozenset(range(len(self.vertices))), self.dim):
+            base = self.vertices[simplex[0]]
+            rows = [vec_sub(self.vertices[i], base) for i in simplex[1:]]
             total += abs(mat_det(rows))
         return total / factorial(self.dim)
 
-    def _subfaces(self, points: tuple[Point, ...], face_dim: int):
-        """(face_dim - 1)-faces of the face spanned by `points`."""
-        out: dict[frozenset, tuple[Point, ...]] = {}
-        for h in self.halfspaces:
-            tight = tuple(p for p in points if h.is_tight(p))
-            if not tight or len(tight) == len(points):
-                continue
-            if affine_rank(tight) == face_dim - 1:
-                out.setdefault(frozenset(tight), tight)
-        return out.values()
-
-    def _triangulate(self, points: tuple[Point, ...], face_dim: int):
+    def _triangulate(self, face: frozenset[int], face_dim: int):
+        """Simplices (vertex indices) coning each facet of `face` to its least vertex."""
+        apex = min(face)
         if face_dim == 0:
-            yield (points[0],)
+            yield (apex,)
             return
-        apex = min(points)
-        for sub in self._subfaces(points, face_dim):
-            if apex in sub:
+        for sub in dict.fromkeys(face & tight for tight in self.tight_sets):
+            if apex in sub or affine_rank([self.vertices[i] for i in sub]) != face_dim - 1:
                 continue
-            for simplex in self._triangulate(tuple(sorted(sub)), face_dim - 1):
+            for simplex in self._triangulate(sub, face_dim - 1):
                 yield (apex,) + simplex
 
     # -- serialization -----------------------------------------------------

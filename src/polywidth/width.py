@@ -28,7 +28,7 @@ from .bending import (
     triple_pairs_system,
     validate_perturbation_step,
 )
-from .errors import CapabilityError
+from .errors import CapabilityError, NotSimpleError, UnboundedPolytopeError
 from .lengths import (
     LengthVector,
     apply_permutation,
@@ -511,7 +511,7 @@ def upper_bound_via_fano_or_blowup(
                 coarse_poly = HPolytope(
                     P.dim, [HalfSpace(u, offsets[u]) for u in keep]
                 )
-            except Exception:
+            except UnboundedPolytopeError:
                 continue
             if coarse_poly.is_empty() or not coarse_poly.is_full_dimensional():
                 continue
@@ -520,14 +520,14 @@ def upper_bound_via_fano_or_blowup(
                 continue  # induced support function is not strictly convex
             try:
                 coarse_fan = normal_fan(coarse_pruned)
-            except Exception:
+            except (NotSimpleError, ValueError):
                 continue
             if not fan_is_smooth(coarse_fan):
                 continue
             try:
                 if not is_fano(coarse_fan):
                     continue
-            except Exception:
+            except ValueError:  # incomplete fan
                 continue
             steps = blowup_chain(fan, coarse_fan)
             if steps is None:

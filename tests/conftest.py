@@ -87,6 +87,47 @@ def relation_oracle(rays, offsets, cap):
     return best
 
 
+def _solve_oracle(rows, rhs):
+    """Gauss-Jordan over Fractions; None when the square system is singular."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [a / m[col][col] for a in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return tuple(m[r][n] for r in range(n))
+
+
+def vertices_oracle(dim, halfspaces):
+    """Brute force over d-subsets: every feasible unique intersection point.
+
+    Returns the vertices sorted lexicographically and, per halfspace, the
+    indices of the vertices on which it is tight.  Unbounded systems are
+    not detected here; callers decide that separately.
+    """
+
+    def slack(h, x):
+        return sum(u * c for u, c in zip(h.normal, x)) - h.offset
+
+    found = set()
+    for subset in itertools.combinations(halfspaces, dim):
+        x = _solve_oracle([h.normal for h in subset], [h.offset for h in subset])
+        if x is not None and all(slack(h, x) >= 0 for h in halfspaces):
+            found.add(x)
+    vertices = tuple(sorted(found))
+    tight = tuple(
+        frozenset(i for i, v in enumerate(vertices) if slack(h, v) == 0)
+        for h in halfspaces
+    )
+    return vertices, tight
+
+
 @pytest.fixture
 def oracles():
     class Oracles:
@@ -95,5 +136,6 @@ def oracles():
         short_sets = staticmethod(short_sets_oracle)
         shoelace = staticmethod(shoelace_area)
         relation = staticmethod(relation_oracle)
+        vertices = staticmethod(vertices_oracle)
 
     return Oracles

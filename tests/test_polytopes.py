@@ -2,9 +2,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from polywidth.errors import NotSimpleError, NotSmoothError, UnboundedPolytopeError
 from polywidth.lengths import LengthVector, apply_permutation
+from polywidth.lp import INFEASIBLE, UNBOUNDED, solve_lp
 from polywidth.bending import (
     caterpillar_polytope,
     reshuffle_recipe,
@@ -126,6 +129,74 @@ def test_unbounded_and_empty():
         ],
     )
     assert empty2.is_empty()
+
+
+@st.composite
+def h_systems(draw):
+    """Small H-systems in dim 1-4, often bounded by a simplex around 0.
+
+    Offsets lean negative, so most systems contain the origin.  Duplicated
+    halfspaces and opposing pairs (which cut the system down to a
+    hyperplane) are mixed in on purpose; empty, unbounded and non-simple
+    systems arise on their own.
+    """
+    dim = draw(st.integers(1, 4))
+    normal = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    offset = st.fractions(min_value=-3, max_value=1, max_denominator=3)
+    hs = draw(st.lists(st.builds(HalfSpace.of, normal, offset), max_size=8 - dim))
+    if draw(st.booleans()):
+        bound = F(draw(st.integers(0, 3)))
+        hs += [HalfSpace(tuple(int(k == j) for k in range(dim)), -bound) for j in range(dim)]
+        hs.append(HalfSpace((-1,) * dim, -bound))
+    if hs:
+        hs += draw(st.lists(st.sampled_from(hs), max_size=2))
+        if draw(st.booleans()):
+            h = draw(st.sampled_from(hs))
+            hs.append(HalfSpace(tuple(-u for u in h.normal), -h.offset))
+    return dim, draw(st.permutations(hs))
+
+
+def _nonempty_and_unbounded(dim, hs):
+    """Via the exact LP, with x split as x+ - x-: feasible, and some +-x_j unbounded."""
+    rows = [tuple(-u for u in h.normal) + h.normal for h in hs]
+    rhs = [-h.offset for h in hs]
+    if solve_lp([0] * (2 * dim), rows, rhs).status == INFEASIBLE:
+        return False, False
+    directions = []
+    for j in range(dim):
+        e = [int(k == j) for k in range(dim)]
+        directions += [e + [-c for c in e], [-c for c in e] + e]
+    return True, any(solve_lp(c, rows, rhs).status == UNBOUNDED for c in directions)
+
+
+_APEX_PYRAMID = (
+    3,
+    [
+        HalfSpace((0, 0, 1), F(0)),
+        HalfSpace((-1, 0, -1), F(-1)),
+        HalfSpace((1, 0, -1), F(-1)),
+        HalfSpace((0, -1, -1), F(-1)),
+        HalfSpace((0, 1, -1), F(-1)),
+    ],
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(system=h_systems())
+@example(system=_APEX_PYRAMID)
+@example(system=(2, []))
+@example(system=(1, [HalfSpace((1,), F(1)), HalfSpace((-1,), F(0))]))
+@example(system=(2, [HalfSpace((1, 0), F(0)), HalfSpace((0, 1), F(0)), HalfSpace((1, 1), F(1))]))
+def test_vertices_match_brute_force_oracle(system, oracles):
+    dim, hs = system
+    nonempty, unbounded = _nonempty_and_unbounded(dim, hs)
+    if unbounded:
+        with pytest.raises(UnboundedPolytopeError):
+            HPolytope(dim, hs)
+        return
+    P = HPolytope(dim, hs)
+    assert (P.vertices, P.tight_sets) == oracles.vertices(dim, hs)
+    assert P.is_empty() == (not nonempty)
 
 
 def test_is_facet():

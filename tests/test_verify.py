@@ -59,6 +59,13 @@ def test_small_run_all_green():
     assert failing == []
 
 
+def test_vh_roundtrip_skips_collinear_points():
+    # this seed draws three collinear points, whose hull is no polygon
+    report = run_verify(samples=20, seed=34005, names=["vh-roundtrip"])
+    assert report.results[0].failed == 0
+    assert report.results[0].passed == 20
+
+
 def test_n_filter_skips_other_arities():
     report = run_verify(samples=4, seed=11, n=5)
     names = {r.name: r for r in report.results}
