@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, EmptyModuliError, NonGenericError
@@ -91,14 +92,18 @@ def is_generic(r: LengthVector, cap: int = GENERICITY_CAP) -> bool:
     """True when no index set balances the vector exactly.
 
     Exhaustive over all 2**n subsets via a Gray-code walk, so each step
-    updates the running excess by a single entry.  Refuses n > cap.
+    updates the running excess by a single entry.  It runs in integers:
+    scaling the entries by the lcm of their denominators, a positive
+    factor, keeps every excess zero exactly where it was.  Refuses n > cap.
     """
     n = r.n
     if n > cap:
         raise CapabilityError(
             f"genericity check is exhaustive over 2^n subsets; n={n} exceeds cap {cap}"
         )
-    current = -r.total()  # excess of the empty set
+    scale = lcm(*(e.denominator for e in r.entries))
+    entries = [e.numerator * (scale // e.denominator) for e in r.entries]
+    current = -sum(entries)  # excess of the empty set
     if current == 0:
         return False
     prev_code = 0
@@ -107,9 +112,9 @@ def is_generic(r: LengthVector, cap: int = GENERICITY_CAP) -> bool:
         changed = code ^ prev_code  # single bit
         idx = changed.bit_length() - 1
         if code & changed:
-            current += 2 * r.entries[idx]
+            current += 2 * entries[idx]
         else:
-            current -= 2 * r.entries[idx]
+            current -= 2 * entries[idx]
         if current == 0:
             return False
         prev_code = code

@@ -7,6 +7,8 @@ Fukuda-Prodon 1996) over the homogenised cone of the system, in integer
 arithmetic; its cost follows the number of vertices, not the number of
 d-subsets of halfspaces.  Empty and lower-dimensional polytopes are legal
 values; unbounded input is rejected at construction.
+Faces are read off the vertex sets on which halfspaces are tight, with no
+rank computation: a bounded polytope's faces are intersections of them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import NotSimpleError, NotSmoothError, UnboundedPolytopeError
 from .linalg import (
-    affine_rank,
     dot,
     mat_det,
     mat_inverse,
@@ -170,6 +171,16 @@ def _double_description(
     return rays, zeros
 
 
+def _maximal_cuts(face: frozenset[int], tight_sets: Iterable[frozenset[int]]) -> list[frozenset]:
+    """The facets of a face: its inclusion-maximal nonempty proper cuts by tight sets.
+
+    Exact for a face of a bounded polytope: every proper face of it is such
+    a cut, and lies in a facet of it.
+    """
+    cuts = [c for c in dict.fromkeys(face & t for t in tight_sets) if c and c != face]
+    return [c for c in cuts if not any(c < other for other in cuts)]
+
+
 class HPolytope:
     """Halfspace intersection with eagerly cached vertex data.
 
@@ -183,6 +194,9 @@ class HPolytope:
     to a vertex is a recession direction, and no ray with x0 > 0 means the
     system is empty.  Normals of rank below the dimension leave no vertex;
     such a system is empty or contains a line, decided by an exact LP.
+    A nonempty polytope is full-dimensional exactly when no halfspace is
+    tight on every vertex, as the system's implicit equalities cut out its
+    affine hull; the facets are the maximal proper tight sets.
     """
 
     __slots__ = ("dim", "halfspaces", "vertices", "tight_sets")
@@ -231,11 +245,9 @@ class HPolytope:
     def contains(self, point: Sequence) -> bool:
         return all(h.contains(point) for h in self.halfspaces)
 
-    def affine_dim(self) -> int:
-        return affine_rank(self.vertices)
-
     def is_full_dimensional(self) -> bool:
-        return self.affine_dim() == self.dim
+        n = len(self.vertices)
+        return n > 0 and all(len(t) < n for t in self.tight_sets)
 
     def bounding_box(self) -> tuple[Point, Point]:
         if self.is_empty():
@@ -248,11 +260,16 @@ class HPolytope:
 
     def is_facet(self, index: int) -> bool:
         """Whether halfspace `index` is tight on a (d-1)-dimensional face."""
-        tight = [self.vertices[i] for i in self.tight_sets[index]]
-        return affine_rank(tight) == self.dim - 1
+        return index in self.facet_indices()
 
     def facet_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.halfspaces)) if self.is_facet(i))
+        """Halfspaces tight on a facet; none when empty, ValueError when lower-dimensional."""
+        if self.is_empty():
+            return ()
+        if not self.is_full_dimensional():
+            raise ValueError("a lower-dimensional polytope has no facets")
+        facets = set(_maximal_cuts(frozenset(range(len(self.vertices))), self.tight_sets))
+        return tuple(i for i, t in enumerate(self.tight_sets) if t in facets)
 
     def pruned(self) -> "HPolytope":
         """Copy keeping one halfspace per facet; empty input is unchanged.
@@ -265,19 +282,13 @@ class HPolytope:
             return self
         if not self.is_full_dimensional():
             raise ValueError("cannot prune a lower-dimensional polytope to facets")
-        kept_indices: list[int] = []
-        seen: set[tuple] = set()
-        for i in self.facet_indices():
-            h = self.halfspaces[i]
-            key = (h.normal, h.offset)
-            if key not in seen:
-                seen.add(key)
-                kept_indices.append(i)
+        # equal halfspaces have equal tight sets; a dict keeps the first of each
+        kept = {self.halfspaces[i]: self.tight_sets[i] for i in self.facet_indices()}
         out = object.__new__(HPolytope)
         out.dim = self.dim
-        out.halfspaces = tuple(self.halfspaces[i] for i in kept_indices)
+        out.halfspaces = tuple(kept)
         out.vertices = self.vertices
-        out.tight_sets = tuple(self.tight_sets[i] for i in kept_indices)
+        out.tight_sets = tuple(kept.values())
         return out
 
     # -- geometry ---------------------------------------------------------
@@ -309,26 +320,25 @@ class HPolytope:
 
     def volume(self) -> Fraction:
         """Exact Lebesgue volume; 0 for empty or lower-dimensional sets."""
-        if self.affine_dim() < self.dim:
+        if not self.is_full_dimensional():
             return Fraction(0)
         total = Fraction(0)
-        for simplex in self._triangulate(frozenset(range(len(self.vertices))), self.dim):
+        for simplex in self._triangulate(frozenset(range(len(self.vertices)))):
             base = self.vertices[simplex[0]]
             rows = [vec_sub(self.vertices[i], base) for i in simplex[1:]]
             total += abs(mat_det(rows))
         return total / factorial(self.dim)
 
-    def _triangulate(self, face: frozenset[int], face_dim: int):
+    def _triangulate(self, face: frozenset[int]):
         """Simplices (vertex indices) coning each facet of `face` to its least vertex."""
         apex = min(face)
-        if face_dim == 0:
+        if len(face) == 1:
             yield (apex,)
             return
-        for sub in dict.fromkeys(face & tight for tight in self.tight_sets):
-            if apex in sub or affine_rank([self.vertices[i] for i in sub]) != face_dim - 1:
-                continue
-            for simplex in self._triangulate(sub, face_dim - 1):
-                yield (apex,) + simplex
+        for sub in _maximal_cuts(face, self.tight_sets):
+            if apex not in sub:
+                for simplex in self._triangulate(sub):
+                    yield (apex,) + simplex
 
     # -- serialization -----------------------------------------------------
 
@@ -359,7 +369,7 @@ def polytope_from_json(data: dict) -> HPolytope:
 
     dim = int(data["dim"])
     hs = [
-        HalfSpace(tuple(int(c) for c in entry["normal"]), parse_rational(entry["offset"]))
+        HalfSpace.of([int(c) for c in entry["normal"]], parse_rational(entry["offset"]))
         for entry in data["halfspaces"]
     ]
     return HPolytope(dim, hs)

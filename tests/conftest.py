@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -128,6 +129,76 @@ def vertices_oracle(dim, halfspaces):
     return vertices, tight
 
 
+def _rank_oracle(rows):
+    """Matrix rank by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _affine_rank_oracle(points):
+    """Dimension of the affine hull (-1 for no points)."""
+    if not points:
+        return -1
+    return _rank_oracle([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
+
+
+def _det_oracle(rows):
+    """Leibniz expansion: signed sum over all permutations."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * prod((rows[i][perm[i]] for i in range(n)), start=Fraction(1))
+    return total
+
+
+def faces_oracle(dim, vertices, tight_sets):
+    """Full-dimensionality, facet indices and volume by affine ranks.
+
+    A polytope is full-dimensional when its vertices have affine rank
+    `dim`, and halfspace i is a facet when its tight vertices have rank
+    dim - 1.  The volume cones each facet of a face (a cut by a tight set of
+    rank one less) to the face's least vertex, recursively, and sums the
+    simplex volumes; it is 0 for lower-dimensional polytopes.
+    """
+
+    def rank(indices):
+        return _affine_rank_oracle([vertices[i] for i in indices])
+
+    full = rank(range(len(vertices))) == dim
+    facets = tuple(i for i, t in enumerate(tight_sets) if rank(t) == dim - 1)
+
+    def simplices(face, face_dim):
+        apex = min(face)
+        if face_dim == 0:
+            yield (apex,)
+            return
+        for sub in dict.fromkeys(face & t for t in tight_sets):
+            if apex not in sub and rank(sub) == face_dim - 1:
+                for simplex in simplices(sub, face_dim - 1):
+                    yield (apex,) + simplex
+
+    volume = Fraction(0)
+    if full:
+        for simplex in simplices(frozenset(range(len(vertices))), dim):
+            base = vertices[simplex[0]]
+            rows = [[a - b for a, b in zip(vertices[i], base)] for i in simplex[1:]]
+            volume += abs(_det_oracle(rows))
+        volume /= factorial(dim)
+    return full, facets, volume
+
+
 @pytest.fixture
 def oracles():
     class Oracles:
@@ -137,5 +208,6 @@ def oracles():
         shoelace = staticmethod(shoelace_area)
         relation = staticmethod(relation_oracle)
         vertices = staticmethod(vertices_oracle)
+        faces = staticmethod(faces_oracle)
 
     return Oracles

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from polywidth.errors import EmptyModuliError, NonGenericError
 from polywidth.harness import sample_many
@@ -66,6 +68,36 @@ def test_is_generic_matches_oracle(oracles):
     for attempt in range(60):
         r = sample_raw(5, seed=103, attempt=attempt, max_denominator=2)
         assert is_generic(r) == oracles.generic(r.entries)
+
+
+@st.composite
+def mixed_denominator_vectors(draw):
+    """n = 4..9 entries with denominators up to 12; half of them on a planted wall.
+
+    A wall is planted by picking a subset S and an index j in it and setting
+    entry j to |rest|, where rest is the excess of S without j: then S or
+    the complement of S plus j balances exactly.
+    """
+    n = draw(st.integers(4, 9))
+    entry = st.fractions(min_value=Fraction(1, 12), max_value=10, max_denominator=12)
+    entries = draw(st.lists(entry, min_size=n, max_size=n))
+    planted = draw(st.booleans())
+    if planted:
+        subset = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        j = draw(st.sampled_from(sorted(subset)))
+        rest = sum(e if i in subset else -e for i, e in enumerate(entries) if i != j)
+        assume(rest != 0)
+        entries[j] = abs(rest)
+    return entries, planted
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=mixed_denominator_vectors())
+def test_is_generic_integer_walk_matches_oracle(drawn, oracles):
+    entries, planted = drawn
+    expected = oracles.generic(entries)
+    assert not (planted and expected)
+    assert is_generic(LengthVector(entries)) == expected
 
 
 def test_short_long_examples(oracles):

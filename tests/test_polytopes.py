@@ -199,6 +199,46 @@ def test_vertices_match_brute_force_oracle(system, oracles):
     assert P.is_empty() == (not nonempty)
 
 
+_UNIT_SQUARE = [
+    HalfSpace((1, 0), F(0)),
+    HalfSpace((0, 1), F(0)),
+    HalfSpace((-1, 0), F(-1)),
+    HalfSpace((0, -1), F(-1)),
+]
+_SEGMENT_2D = (2, _UNIT_SQUARE[:3] + [HalfSpace((0, -1), F(0))])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(system=h_systems())
+@example(system=(2, _UNIT_SQUARE + [HalfSpace((1, 1), F(0))]))  # redundant, tight at one vertex
+@example(system=(2, _UNIT_SQUARE + [_UNIT_SQUARE[2]]))  # duplicated facet
+@example(system=_APEX_PYRAMID)
+@example(system=_SEGMENT_2D)
+def test_faces_match_rank_oracle(system, oracles):
+    dim, hs = system
+    if _nonempty_and_unbounded(dim, hs)[1]:
+        return
+    P = HPolytope(dim, hs)
+    full, facets, volume = oracles.faces(dim, *oracles.vertices(dim, hs))
+    assert P.is_full_dimensional() == full
+    if full:
+        assert P.facet_indices() == facets
+        assert P.pruned().halfspaces == tuple(dict.fromkeys(hs[i] for i in facets))
+        assert P.volume() == volume
+
+
+def test_facets_of_lower_dimensional_and_empty():
+    segment = HPolytope(*_SEGMENT_2D)
+    assert not segment.is_empty() and not segment.is_full_dimensional()
+    for query in (segment.facet_indices, lambda: segment.is_facet(0), segment.pruned):
+        with pytest.raises(ValueError):
+            query()
+    empty = HPolytope(1, [HalfSpace((1,), F(1)), HalfSpace((-1,), F(0))])
+    assert empty.facet_indices() == ()
+    assert not empty.is_facet(0)
+    assert empty.pruned() is empty
+
+
 def test_is_facet():
     P = HPolytope(2, list(square().halfspaces) + [HalfSpace((1, 0), F(-1))])
     assert not P.is_facet(4)
@@ -466,6 +506,26 @@ def test_json_round_trip():
     P = caterpillar_polytope(LengthVector([1, 2, 3, 4, 7])).polytope
     Q = polytope_from_json(P.to_json())
     assert Q == P
+    assert Q.to_json() == P.to_json()
+
+
+def test_json_normals_made_primitive():
+    data = {
+        "dim": 2,
+        "halfspaces": [
+            {"normal": [2, 0], "offset": "0"},
+            {"normal": [1, 0], "offset": "0"},
+            {"normal": [0, 1], "offset": "0"},
+            {"normal": [-1, -1], "offset": "-1"},
+        ],
+    }
+    P = polytope_from_json(data)
+    assert P.halfspaces[0] == HalfSpace((1, 0), F(0))
+    fan = normal_fan(P)
+    assert len(fan.maximal_cones) == 3
+    assert set(fan.rays) == {(1, 0), (0, 1), (-1, -1)}
+    data["halfspaces"][0] = {"normal": [0, 3], "offset": "1"}
+    assert polytope_from_json(data).halfspaces[0] == HalfSpace((0, 1), F(1, 3))
 
 
 def test_fans_equal_up_to_ordering():
