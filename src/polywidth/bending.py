@@ -47,7 +47,7 @@ class DiagonalSystem:
                 raise ValueError("caterpillar system needs n >= 4")
         elif self.kind == TRIPLE_PAIRS:
             if self.n != 6:
-                raise ValueError("three-pairs system exists only for n = 6")
+                raise ValueError("three-pairs polytope is for 6-vectors")
         else:
             raise ValueError(f"unknown diagonal system {self.kind!r}")
 
@@ -62,6 +62,11 @@ def caterpillar_system(n: int) -> DiagonalSystem:
 
 def triple_pairs_system() -> DiagonalSystem:
     return DiagonalSystem(TRIPLE_PAIRS, 6)
+
+
+def default_system(n: int) -> DiagonalSystem:
+    """The system the reports build for n-gons: three pairs for hexagons, else the caterpillar."""
+    return triple_pairs_system() if n == 6 else caterpillar_system(n)
 
 
 @dataclass(frozen=True)

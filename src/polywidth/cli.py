@@ -15,9 +15,13 @@ import sys
 from typing import Optional, Sequence
 
 from .bending import (
+    CATERPILLAR,
+    TRIPLE_PAIRS,
+    DiagonalSystem,
     caterpillar_polytope,
+    default_system,
+    moment_image,
     rectangle_chart_5,
-    triple_pairs_polytope_6,
     vertex_chart_6,
 )
 from .errors import (
@@ -94,12 +98,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _moment_image(r: LengthVector, system: str):
-    if system == "pairs6":
-        return triple_pairs_polytope_6(r)
-    return caterpillar_polytope(r)
-
-
 def cmd_polytope(args) -> int:
     if args.from_json is not None:
         if args.lengths:
@@ -115,7 +113,7 @@ def cmd_polytope(args) -> int:
         if not args.lengths:
             raise ValueError("edge lengths are required without --from-json")
         r = _parse_vector(args.lengths)
-        image = _moment_image(r, args.system)
+        image = moment_image(r, DiagonalSystem(args.system, r.n))
         poly = image.polytope
         payload = {
             "schema": "polywidth/1",
@@ -227,7 +225,7 @@ def cmd_volume(args) -> int:
     }
     if args.crosscheck:
         rs, _ = sort_with_permutation(r)
-        image = _moment_image(rs, "pairs6" if r.n == 6 else "caterpillar")
+        image = moment_image(rs, default_system(r.n))
         ratio = volume_ratio_check(rs, image)
         payload["polytope_volume"] = format_rational(image.polytope.volume())
         payload["ratio"] = format_rational(ratio)
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polytope", help="moment polytope of a bending system")
     p.add_argument("lengths", nargs="*", help="edge lengths as 'p' or 'p/q'")
-    p.add_argument("--system", choices=("caterpillar", "pairs6"), default="caterpillar")
+    p.add_argument("--system", choices=(CATERPILLAR, TRIPLE_PAIRS), default=CATERPILLAR)
     p.add_argument(
         "--from-json",
         metavar="FILE",

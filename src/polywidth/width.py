@@ -22,6 +22,8 @@ from .bending import (
     caterpillar_polytope,
     caterpillar_system,
     cuboid_vertices,
+    default_system,
+    moment_image,
     perturb_for_toricity,
     reshuffle_recipe,
     triple_pairs_polytope_6,
@@ -791,11 +793,7 @@ def _two_step_values(
 
     def bound_at(vec: LengthVector) -> UpperBoundCertificate:
         shuffled = apply_permutation(vec, recipe)
-        if system.kind == "pairs6":
-            image = triple_pairs_polytope_6(shuffled)
-        else:
-            image = caterpillar_polytope(shuffled)
-        cert = upper_bound_via_fano_or_blowup(image, cap)
+        cert = upper_bound_via_fano_or_blowup(moment_image(shuffled, system), cap)
         if cert is None:
             raise AssertionError(f"no upper certificate for case {case} at {vec!r}")
         return cert
@@ -998,11 +996,7 @@ def _with_extras(report: WidthReport, experimental_shears: bool) -> WidthReport:
 def _sheared_cross_size(report: WidthReport) -> Fraction:
     """Best cross size over single elementary shear pre-transforms."""
     rs = report.sorted_r
-    if rs.n == 6:
-        image = triple_pairs_polytope_6(rs)
-    else:
-        image = caterpillar_polytope(rs)
-    P = image.polytope
+    P = moment_image(rs, default_system(rs.n)).polytope
     d = P.dim
     best = max_axis_cross(P).size if P.is_full_dimensional() else Fraction(0)
     if d < 2:

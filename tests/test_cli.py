@@ -150,6 +150,17 @@ def test_verify_single_check_filter():
     assert data["checks"][0]["name"] == "pentagon-chamber-total"
 
 
+def test_verify_rejects_unknown_check_and_empty_budget(capsys):
+    code, out = run_cli("verify", "--check", "typo")
+    assert code == 1
+    assert "all checks passed" not in out
+    assert "typo" in capsys.readouterr().err
+    code, _ = run_cli("verify", "--samples", "0")
+    assert code == 1
+    code, _ = run_cli("verify", "--max-denominator", "0")
+    assert code == 1
+
+
 def test_sampler_determinism_and_rejection():
     a, _ = sample_generic(5, seed=99)
     b, _ = sample_generic(5, seed=99)

@@ -1,5 +1,7 @@
 """Registry completeness and a smoke run of the harness."""
 
+import pytest
+
 from polywidth.verify import REGISTRY, run_verify
 
 # every module invariant declared in the package must appear here; adding
@@ -66,12 +68,95 @@ def test_vh_roundtrip_skips_collinear_points():
     assert report.results[0].passed == 20
 
 
+# the checks that run (are not skipped) under each arity filter
+RUN_AT_ARITY = {
+    4: {
+        "bound-sandwich",
+        "caterpillar-nonempty-iff-closed",
+        "projective-volume-equality",
+        "short-long-duality",
+        "singleton-maximal-short-iff",
+        "volume-permutation-invariance",
+        "width-formula-permutation-invariance",
+        "width-formula-sorted-min",
+    },
+    5: {
+        "axis-segment-concavity",
+        "bound-sandwich",
+        "caterpillar-nonempty-iff-closed",
+        "chart5-consistency",
+        "crossfit-replay",
+        "fano-offset-independence",
+        "lower-bound-dominance-5",
+        "lp-vs-grid-2d",
+        "pentagon-chamber-total",
+        "pentagon-toricity-ties",
+        "perturbation-offsets-linear",
+        "perturbation-two-step-stability",
+        "projective-volume-equality",
+        "reshuffle-coherence",
+        "short-long-duality",
+        "singleton-maximal-short-iff",
+        "upper-certificate-replay",
+        "vh-roundtrip",
+        "volume-permutation-invariance",
+        "volume-ratio-constant",
+        "volume-unimodular-invariance",
+        "width-formula-permutation-invariance",
+        "width-formula-sorted-min",
+    },
+    6: {
+        "axis-segment-concavity",
+        "bound-sandwich",
+        "caterpillar-nonempty-iff-closed",
+        "chart6-consistency",
+        "crossfit-replay",
+        "lower-bound-dominance-6",
+        "perturbation-offsets-linear",
+        "perturbation-two-step-stability",
+        "projective-volume-equality",
+        "short-long-duality",
+        "singleton-maximal-short-iff",
+        "upper-certificate-replay",
+        "vh-roundtrip",
+        "volume-permutation-invariance",
+        "volume-ratio-constant",
+        "volume-unimodular-invariance",
+        "width-formula-permutation-invariance",
+        "width-formula-sorted-min",
+    },
+    7: {
+        "projective-volume-equality",
+        "short-long-duality",
+        "singleton-maximal-short-iff",
+        "width-formula-sorted-min",
+    },
+}
+
+
 def test_n_filter_skips_other_arities():
     report = run_verify(samples=4, seed=11, n=5)
     names = {r.name: r for r in report.results}
     assert names["chart6-consistency"].skipped
     assert not names["chart5-consistency"].skipped
     assert report.ok
+    for n, expected in RUN_AT_ARITY.items():
+        report = run_verify(samples=1, seed=11, n=n)
+        assert {r.name for r in report.results if not r.skipped} == expected, n
+        assert report.ok
+
+
+def test_unknown_check_name_is_rejected():
+    with pytest.raises(ValueError, match="no-such-check"):
+        run_verify(names=["short-long-duality", "no-such-check"])
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"samples": 0}, {"samples": -3}, {"max_denominator": 0}]
+)
+def test_budget_below_one_is_rejected(kwargs):
+    with pytest.raises(ValueError):
+        run_verify(names=["short-long-duality"], **kwargs)
 
 
 def test_failures_carry_replayable_inputs():
