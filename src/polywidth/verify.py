@@ -123,6 +123,7 @@ CheckFn = Callable[[int, int, Optional[int], int], CheckResult]
 # body(res, n, count, seed, max_denominator)
 CheckBody = Callable[[CheckResult, Optional[int], int, int, int], None]
 REGISTRY: dict[str, tuple[str, CheckFn]] = {}
+ARITIES: dict[str, tuple[int, ...]] = {}
 
 
 def register(
@@ -160,6 +161,7 @@ def register(
             return res
 
         REGISTRY[name] = (group, check)
+        ARITIES[name] = arities
         return body
 
     return wrap
@@ -684,7 +686,8 @@ def run_verify(
 ) -> VerifyReport:
     """Run the registered checks (all, or those in `names`) in registry order.
 
-    Raises ValueError for a budget below 1 or a name that is not registered.
+    Raises ValueError for a budget below 1, a name that is not registered,
+    or an arity `n` that no selected check is registered for.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -693,10 +696,9 @@ def run_verify(
     unknown = [name for name in names or () if name not in REGISTRY]
     if unknown:
         raise ValueError(f"unknown check(s): {', '.join(unknown)}")
+    selected = [name for name in REGISTRY if names is None or name in names]
+    if n is not None and not any(n in ARITIES[name] for name in selected):
+        raise ValueError(f"no selected check runs at n = {n}")
     start = time.monotonic()
-    results = [
-        fn(samples, seed, n, max_denominator)
-        for name, (_group, fn) in REGISTRY.items()
-        if names is None or name in names
-    ]
+    results = [REGISTRY[name][1](samples, seed, n, max_denominator) for name in selected]
     return VerifyReport(results=results, wall_seconds=time.monotonic() - start)

@@ -1,9 +1,9 @@
 """Symplectic volume of polygon moduli spaces, exactly.
 
-The combinatorial formula sums, over all compositions k of n-3 and all
-long index sets, signed monomials in the edge lengths; it collapses to a
-closed form on the projective chamber.  Volumes carry their power of 2*pi
-symbolically: a VolumeValue means coefficient * (2*pi)**power.
+The Duistermaat-Heckman volume is one signed sum over the long index sets
+(Takakura, Khoi, Mandini); it collapses to a closed form on the projective
+chamber.  Volumes carry their power of 2*pi symbolically: a VolumeValue
+means coefficient * (2*pi)**power.
 
 The ratio of the combinatorial coefficient to the Euclidean volume of the
 bending moment polytope is a dimension constant (it turns out to be 1),
@@ -28,7 +28,7 @@ from .lengths import (
 )
 from .rationals import format_rational
 
-VOLUME_ARITY_CAP = 12
+VOLUME_ARITY_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -42,21 +42,13 @@ class VolumeValue:
         return {"coefficient": format_rational(self.coefficient), "power": self.power}
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def combinatorial_volume(r: LengthVector) -> VolumeValue:
-    """Signed double sum over degree splittings and long index sets.
+    """The signed sum over long index sets I, with eps_I the excess of I:
+
+        -1 / (2 (n-3)!) * sum over long I of (-1)**(n-|I|) * eps_I**(n-3).
 
     Returns the exact coefficient of (2*pi)**(n-3).  Exhaustive over the
-    2**n index sets and all C(2n-4, n-1) compositions, hence the arity cap.
+    2**n index sets, hence the arity cap.
     """
     n = r.n
     if n > VOLUME_ARITY_CAP:
@@ -64,35 +56,15 @@ def combinatorial_volume(r: LengthVector) -> VolumeValue:
     assert_generic(r)
     assert_nonempty(r)
     m = n - 3
-
-    longs: list[tuple[int, int]] = []  # (membership mask, |I|)
     total = r.total()
-    for mask in range(1, 1 << n):
-        inside = sum(
-            (r.entries[i] for i in range(n) if mask >> i & 1), Fraction(0)
-        )
-        if 2 * inside - total > 0:
-            longs.append((mask, bin(mask).count("1")))
-
-    fact_m = factorial(m)
     acc = Fraction(0)
-    for k in _compositions(m, n):
-        multinom = fact_m
-        for ki in k:
-            multinom //= factorial(ki)
-        prod_r = Fraction(1)
-        for ki, ri in zip(k, r.entries):
-            if ki:
-                prod_r *= ri**ki
-        inner = 0
-        for mask, size in longs:
-            inside_degree = sum(ki for i, ki in enumerate(k) if mask >> i & 1)
-            sign = -1 if (n - size + m - inside_degree) % 2 else 1
-            inner += sign
-        if inner:
-            acc += multinom * prod_r * inner
-    coefficient = -acc / (2 * fact_m)
-    return VolumeValue(coefficient=coefficient, power=m)
+    for mask in range(1, 1 << n):
+        inside = sum((r.entries[i] for i in range(n) if mask >> i & 1), Fraction(0))
+        eps = 2 * inside - total
+        if eps > 0:
+            sign = -1 if (n - bin(mask).count("1")) % 2 else 1
+            acc += sign * eps**m
+    return VolumeValue(coefficient=-acc / (2 * factorial(m)), power=m)
 
 
 def projective_volume(r_sorted: LengthVector) -> VolumeValue:

@@ -199,6 +199,33 @@ def faces_oracle(dim, vertices, tight_sets):
     return full, facets, volume
 
 
+def composition_volume_oracle(entries):
+    """The volume coefficient as a double sum over degree splittings and long sets.
+
+    Expanding each excess eps_I = sum of s_i r_i (s_i = +1 in I, -1 outside)
+    by the multinomial theorem: every composition k of n-3 into n parts
+    contributes multinomial(k) * prod r_i**k_i times the signed count of long
+    sets I, with sign (-1)**(n-|I| + n-3 - sum of k_i over I).
+    """
+    r = [Fraction(e) for e in entries]
+    n, m = len(r), len(r) - 3
+    total = sum(r)
+    longs = [
+        subset
+        for size in range(1, n + 1)
+        for subset in itertools.combinations(range(n), size)
+        if 2 * sum(r[i] for i in subset) > total
+    ]
+    acc = Fraction(0)
+    for picks in itertools.combinations_with_replacement(range(n), m):
+        k = [picks.count(i) for i in range(n)]
+        multinomial = factorial(m) // prod(factorial(ki) for ki in k)
+        monomial = prod((ri**ki for ri, ki in zip(r, k)), start=Fraction(1))
+        signed = sum((-1) ** (n - len(I) + m - sum(k[i] for i in I)) for I in longs)
+        acc += multinomial * monomial * signed
+    return -acc / (2 * factorial(m))
+
+
 @pytest.fixture
 def oracles():
     class Oracles:
@@ -209,5 +236,6 @@ def oracles():
         relation = staticmethod(relation_oracle)
         vertices = staticmethod(vertices_oracle)
         faces = staticmethod(faces_oracle)
+        composition_volume = staticmethod(composition_volume_oracle)
 
     return Oracles

@@ -161,6 +161,19 @@ def test_verify_rejects_unknown_check_and_empty_budget(capsys):
     assert code == 1
 
 
+def test_verify_rejects_arity_without_checks(capsys):
+    code, out = run_cli("verify", "--n", "9", "--samples", "2")
+    assert code == 1
+    assert "all checks passed" not in out
+    assert "n = 9" in capsys.readouterr().err
+
+
+def test_volume_rejects_arity_above_cap(capsys):
+    code, out = run_cli("volume", *["1"] * 14, "3")
+    assert code == 1 and out == ""
+    assert "capped at n <= 14" in capsys.readouterr().err
+
+
 def test_sampler_determinism_and_rejection():
     a, _ = sample_generic(5, seed=99)
     b, _ = sample_generic(5, seed=99)

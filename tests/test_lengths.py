@@ -71,14 +71,14 @@ def test_is_generic_matches_oracle(oracles):
 
 
 @st.composite
-def mixed_denominator_vectors(draw):
-    """n = 4..9 entries with denominators up to 12; half of them on a planted wall.
+def mixed_denominator_vectors(draw, max_n=9):
+    """n = 4..max_n entries with denominators up to 12; half of them on a planted wall.
 
     A wall is planted by picking a subset S and an index j in it and setting
     entry j to |rest|, where rest is the excess of S without j: then S or
     the complement of S plus j balances exactly.
     """
-    n = draw(st.integers(4, 9))
+    n = draw(st.integers(4, max_n))
     entry = st.fractions(min_value=Fraction(1, 12), max_value=10, max_denominator=12)
     entries = draw(st.lists(entry, min_size=n, max_size=n))
     planted = draw(st.booleans())

@@ -151,6 +151,16 @@ def test_unknown_check_name_is_rejected():
         run_verify(names=["short-long-duality", "no-such-check"])
 
 
+def test_arity_without_a_registered_check_is_rejected():
+    with pytest.raises(ValueError, match="n = 9"):
+        run_verify(samples=2, n=9)
+    with pytest.raises(ValueError, match="n = 4"):
+        run_verify(names=["vh-roundtrip", "chart5-consistency"], n=4)
+    # a check registered at n may still skip when none of its draws qualify
+    (result,) = run_verify(samples=1, seed=11, n=5, names=["blowup-ray-count"]).results
+    assert result.skipped and result.failed == 0
+
+
 @pytest.mark.parametrize(
     "kwargs", [{"samples": 0}, {"samples": -3}, {"max_denominator": 0}]
 )

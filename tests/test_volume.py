@@ -2,8 +2,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from polywidth.errors import CapabilityError, EmptyModuliError
+from polywidth.errors import CapabilityError, EmptyModuliError, NonGenericError
 from polywidth.harness import sample_many
 from polywidth.lengths import (
     LengthVector,
@@ -21,28 +22,9 @@ from polywidth.volume import (
     reference_projective_vector,
     volume_ratio_check,
 )
+from test_lengths import mixed_denominator_vectors
 
 F = Fraction
-
-
-def collapsed_volume_oracle(r):
-    """Independent evaluation: the inner degree sum collapses per long set.
-
-    Summing the multinomial block for a fixed long set telescopes to the
-    (n-3)rd power of its excess, so the whole formula is a single signed
-    sum over long sets.  Computed without touching the production path.
-    """
-    n = r.n
-    m = n - 3
-    total = sum(r.entries)
-    acc = F(0)
-    for mask in range(1, 1 << n):
-        inside = sum(r.entries[i] for i in range(n) if mask >> i & 1)
-        eps = 2 * inside - total
-        if eps > 0:
-            size = bin(mask).count("1")
-            acc += (-1) ** (n - size) * eps**m
-    return -acc / (2 * factorial(m))
 
 
 def test_projective_values():
@@ -54,10 +36,25 @@ def test_projective_values():
     assert projective_volume(r).coefficient == gamma**2 / 2
 
 
-def test_combinatorial_matches_collapsed_oracle():
+def test_combinatorial_matches_collapsed_oracle(oracles):
     for n in (4, 5, 6):
         for r in sample_many(n, seed=401 + n, count=15):
-            assert combinatorial_volume(r).coefficient == collapsed_volume_oracle(r)
+            assert combinatorial_volume(r).coefficient == oracles.composition_volume(r.entries)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=mixed_denominator_vectors(max_n=7))
+def test_combinatorial_volume_matches_composition_oracle(drawn, oracles):
+    entries, planted = drawn
+    r = LengthVector(entries)
+    if planted or not oracles.generic(entries):
+        with pytest.raises(NonGenericError):
+            combinatorial_volume(r)
+    elif any(oracles.excess(entries, {i}) > 0 for i in range(1, r.n + 1)):
+        with pytest.raises(EmptyModuliError):
+            combinatorial_volume(r)
+    else:
+        assert combinatorial_volume(r).coefficient == oracles.composition_volume(entries)
 
 
 def test_volume_positive_on_samples():
@@ -77,7 +74,15 @@ def test_empty_space_rejected():
 
 def test_arity_cap():
     with pytest.raises(CapabilityError):
-        combinatorial_volume(LengthVector([1] * 12 + [2]))
+        combinatorial_volume(LengthVector([1] * 14 + [2]))
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_projective_volume_at_the_cap(n):
+    # projective_volume asserts slack**(n-3)/(n-3)! against the full sum
+    ref = reference_projective_vector(n)
+    gamma = perimeter_slack(ref)
+    assert projective_volume(ref) == VolumeValue(gamma ** (n - 3) / factorial(n - 3), n - 3)
 
 
 def test_permutation_invariance():
